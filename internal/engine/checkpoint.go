@@ -268,10 +268,8 @@ func Restore(p *plan.Plan, sink stream.Sink, data []byte) (*Runner, error) {
 			len(snap.Nodes), len(r.all))
 	}
 	r.events = snap.Events
-	r.keyed.keys = append([]uint64(nil), snap.Keys...)
-	r.keyed.slots = make(map[uint64]int32, len(snap.Keys))
-	for slot, key := range snap.Keys {
-		r.keyed.slots[key] = int32(slot)
+	if err := r.keyed.load(snap.Keys); err != nil {
+		return nil, fmt.Errorf("engine: snapshot key table: %w", err)
 	}
 	for i, n := range r.all {
 		ns := &snap.Nodes[i]

@@ -87,7 +87,7 @@ type node struct {
 
 	// curInst/curEnd cache the single active instance of tumbling (k=1)
 	// operators, giving the raw path the same per-event shape as a plain
-	// slice store: one comparison, one map access.
+	// slice store: one comparison, one key-table lookup.
 	curInst *instance
 	curEnd  int64
 
@@ -135,24 +135,6 @@ type Runner struct {
 	events int64
 }
 
-// keyTable assigns dense canonical slots to group keys, shared by every
-// operator of a plan so sub-aggregate slots mean the same thing
-// everywhere.
-type keyTable struct {
-	slots map[uint64]int32
-	keys  []uint64
-}
-
-func (t *keyTable) slot(key uint64) int32 {
-	if s, ok := t.slots[key]; ok {
-		return s
-	}
-	s := int32(len(t.keys))
-	t.slots[key] = s
-	t.keys = append(t.keys, key)
-	return s
-}
-
 // New compiles a plan into an executable Runner delivering results to
 // sink. The plan must validate.
 func New(p *plan.Plan, sink stream.Sink) (*Runner, error) {
@@ -162,7 +144,7 @@ func New(p *plan.Plan, sink stream.Sink) (*Runner, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("engine: nil sink")
 	}
-	r := &Runner{fn: p.Fn, sink: sink, keyed: keyTable{slots: make(map[uint64]int32)}}
+	r := &Runner{fn: p.Fn, sink: sink, keyed: newKeyTable()}
 	byOp := make(map[*plan.Operator]*node)
 	ops := p.Operators()
 	for _, op := range ops {

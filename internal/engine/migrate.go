@@ -318,12 +318,10 @@ func (r *Runner) ImportCanonical(ex *Export, freshFloor int64) (int, error) {
 	if ex.Fn != r.fn {
 		return 0, fmt.Errorf("engine: export aggregates with %v, plan with %v", ex.Fn, r.fn)
 	}
-	r.events = ex.Events
-	r.keyed.keys = append([]uint64(nil), ex.Keys...)
-	r.keyed.slots = make(map[uint64]int32, len(ex.Keys))
-	for slot, key := range ex.Keys {
-		r.keyed.slots[key] = int32(slot)
+	if err := r.keyed.load(ex.Keys); err != nil {
+		return 0, fmt.Errorf("engine: export key table: %w", err)
 	}
+	r.events = ex.Events
 	byWindow := make(map[window.Window]*WindowState, len(ex.Windows))
 	for i := range ex.Windows {
 		byWindow[ex.Windows[i].W] = &ex.Windows[i]

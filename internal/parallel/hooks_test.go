@@ -1,7 +1,11 @@
 package parallel
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"factorwindows/internal/agg"
@@ -212,5 +216,48 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 	if _, err := Restore(po, &stream.CountingSink{}, snap); err == nil {
 		t.Fatal("cross-plan restore must fail")
+	}
+}
+
+// gobUint64 is gob's encoding of a uint64 whose high byte is nonzero:
+// the negated byte count, then eight big-endian bytes.
+func gobUint64(v uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte{0xF8}, v)
+}
+
+// TestRestoreRejectsRepeatedKey: a snapshot whose shard key list names
+// one key twice must not restore — the shard engine would emit two rows
+// for that key in one window instance. The tampering rewrites the gob
+// encoding of one key into another in place, through the nested blobs.
+func TestRestoreRejectsRepeatedKey(t *testing.T) {
+	p, err := plan.NewOriginal(window.MustSet(window.Tumbling(10)), agg.Min)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := uint64(0x1122334455667788)
+	b := a + 1
+	for ShardOf(b, 2) != ShardOf(a, 2) {
+		b++
+	}
+	r, err := New(p, &stream.CollectingSink{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Process([]stream.Event{{Time: 1, Key: a, Value: 1}, {Time: 2, Key: b, Value: 7}})
+	data, err := r.Snapshot()
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(p, &stream.CollectingSink{}, data); err != nil {
+		t.Fatalf("untampered snapshot: %v", err)
+	}
+	if n := bytes.Count(data, gobUint64(b)); n != 1 {
+		t.Fatalf("key %#x encoded %d times in the snapshot, want 1", b, n)
+	}
+	tampered := bytes.Replace(data, gobUint64(b), gobUint64(a), 1)
+	if _, err := Restore(p, &stream.CollectingSink{}, tampered); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("key %d", a)) {
+		t.Fatalf("snapshot with a repeated key: err = %v", err)
 	}
 }

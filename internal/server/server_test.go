@@ -2,15 +2,19 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"factorwindows/internal/asaql"
 	"factorwindows/internal/engine"
+	"factorwindows/internal/parallel"
 	"factorwindows/internal/plan"
 	"factorwindows/internal/reorder"
 	"factorwindows/internal/stream"
@@ -541,6 +545,42 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 	defer s5.Close()
 	if err := s5.RestoreCheckpoint(data); !errors.Is(err, ErrConflict) {
 		t.Fatalf("reorder-bound mismatch: err = %v", err)
+	}
+}
+
+// TestCheckpointRejectsRepeatedKey: a checkpoint whose shard engine key
+// list names one key twice is refused, not restored into an engine that
+// would emit two rows for that key per window instance. The tampering
+// rewrites gob's fixed-width encoding of one key into another in place,
+// through the nested engine blobs.
+func TestCheckpointRejectsRepeatedKey(t *testing.T) {
+	cfg := Config{Shards: 2, Factors: true}
+	a := uint64(0x1122334455667788)
+	b := a + 1
+	for parallel.ShardOf(b, cfg.Shards) != parallel.ShardOf(a, cfg.Shards) {
+		b++
+	}
+	s1 := New(cfg)
+	defer s1.Close()
+	if _, err := s1.Register("a", demoQuery1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Ingest([]stream.Event{{Time: 1, Key: a, Value: 1}, {Time: 2, Key: b, Value: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s1.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gobKey := func(v uint64) []byte { return binary.BigEndian.AppendUint64([]byte{0xF8}, v) }
+	if n := bytes.Count(data, gobKey(b)); n != 1 {
+		t.Fatalf("key %#x encoded %d times in the checkpoint, want 1", b, n)
+	}
+	s2 := New(cfg)
+	defer s2.Close()
+	err = s2.RestoreCheckpoint(bytes.Replace(data, gobKey(b), gobKey(a), 1))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("key %d", a)) {
+		t.Fatalf("checkpoint with a repeated key: err = %v", err)
 	}
 }
 

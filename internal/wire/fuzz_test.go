@@ -134,17 +134,25 @@ func TestDecodeRejectsRowsOverflow(t *testing.T) {
 
 // exercise touches every accessor of a successfully decoded frame, so
 // the fuzzer catches any row-count/payload-length mismatch as an
-// out-of-range panic.
+// out-of-range panic, and any disagreement between the batch and
+// per-row event decoders.
 func exercise(t *testing.T, f Frame) {
 	t.Helper()
 	n := f.Rows()
 	switch f.Kind {
 	case KindEvents:
-		for i := 0; i < n; i++ {
-			_ = f.Event(i)
+		// The one-pass batch decode must agree bit for bit with the
+		// per-row accessor, also when appending behind existing events.
+		lead := stream.Event{Time: -1, Key: 1, Value: 2}
+		got := f.AppendEvents([]stream.Event{lead})
+		if len(got) != n+1 || got[0] != lead {
+			t.Fatalf("AppendEvents returned %d events (lead %+v), Rows says %d", len(got)-1, got[0], n)
 		}
-		if got := f.AppendEvents(nil); len(got) != n {
-			t.Fatalf("AppendEvents returned %d events, Rows says %d", len(got), n)
+		for i := 0; i < n; i++ {
+			e, b := f.Event(i), got[i+1]
+			if e.Time != b.Time || e.Key != b.Key || math.Float64bits(e.Value) != math.Float64bits(b.Value) {
+				t.Fatalf("row %d: Event %+v, AppendEvents %+v", i, e, b)
+			}
 		}
 	case KindResults:
 		for i := 0; i < n; i++ {

@@ -201,3 +201,22 @@ func TestAppendEventsReuse(t *testing.T) {
 		t.Fatalf("AppendEvents into warm staging: %v allocs, want 0", allocs)
 	}
 }
+
+// BenchmarkAppendEvents decodes one 4096-row events frame into a
+// reused staging slice — the per-frame decode every binary ingest path
+// (stream listener, HTTP frames, WAL replay, fwworker) pays.
+func BenchmarkAppendEvents(b *testing.B) {
+	f, _, err := Decode(AppendEventFrame(nil, sampleEvents(4096)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]stream.Event, 0, f.Rows())
+	b.SetBytes(int64(f.Rows() * eventCols * colWidth))
+	b.ReportAllocs()
+	for b.Loop() {
+		dst = f.AppendEvents(dst[:0])
+	}
+	if len(dst) != f.Rows() {
+		b.Fatalf("decoded %d rows", len(dst))
+	}
+}
