@@ -96,9 +96,11 @@ func requireSameResults(t *testing.T, label string, want, got []stream.Result) {
 }
 
 // TestBatchBoundaryEquivalenceEngine drives the engine with every batch
-// size and watermark stride; batch size 1 is the scalar reference.
+// size and watermark stride; batch size 1 is the scalar reference. The
+// sketch-backed functions must be as blind to batch edges as the scalar
+// ones.
 func TestBatchBoundaryEquivalenceEngine(t *testing.T) {
-	for _, fn := range []agg.Fn{agg.Min, agg.Sum, agg.StdDev} {
+	for _, fn := range []agg.Fn{agg.Min, agg.Sum, agg.StdDev, agg.Percentile, agg.Distinct} {
 		for seed := int64(1); seed <= 3; seed++ {
 			events := equivStream(seed, 900)
 			p := equivPlan(t, fn)

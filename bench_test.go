@@ -18,13 +18,11 @@ import (
 
 	"factorwindows/internal/agg"
 	"factorwindows/internal/core"
-	"factorwindows/internal/distinct"
 	"factorwindows/internal/engine"
 	"factorwindows/internal/harness"
 	"factorwindows/internal/multiquery"
 	"factorwindows/internal/parallel"
 	"factorwindows/internal/plan"
-	"factorwindows/internal/quantile"
 	"factorwindows/internal/reorder"
 	"factorwindows/internal/session"
 	"factorwindows/internal/slicing"
@@ -286,46 +284,25 @@ func BenchmarkSessionSharing(b *testing.B) {
 	})
 }
 
-// BenchmarkQuantileSharing measures sketch-backed shared MEDIAN against
-// the holistic fallback (every window independent, exact median), the
-// Section III-A extension.
+// BenchmarkQuantileSharing measures sketch-backed shared MEDIAN
+// (PERCENTILE at φ = 0.5) on the engine's factored plan against the
+// original plan for the same function, the Section III-A extension.
 func BenchmarkQuantileSharing(b *testing.B) {
-	// A deep dashboard-style set: the holistic fallback folds every event
-	// into all eight windows, the shared tree folds it once.
-	set, err := window.NewSet(
-		window.Tumbling(600), window.Tumbling(1200), window.Tumbling(2400),
-		window.Tumbling(4800), window.Tumbling(9600), window.Tumbling(1800),
-		window.Tumbling(3600), window.Tumbling(7200))
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := benchEvents(200_000)
-	b.Run("shared-sketch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := quantile.Run(set, quantile.Options{Factors: true}, events, &stream.CountingSink{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
-	b.Run("holistic-fallback", func(b *testing.B) {
-		p, err := plan.NewOriginal(set, agg.Median)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(p, events, &stream.CountingSink{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
+	benchSketchSharing(b, agg.Percentile, "shared-sketch", "independent-sketch")
 }
 
 // BenchmarkDistinctSharing measures HLL-backed shared COUNT DISTINCT
 // against independent per-window evaluation (sharing is lossless for
 // HLL, so this isolates pure compute savings).
 func BenchmarkDistinctSharing(b *testing.B) {
+	benchSketchSharing(b, agg.Distinct, "shared-hll", "independent-hll")
+}
+
+// benchSketchSharing runs a sketch-backed function over a deep
+// dashboard-style set twice: on the factored plan, which folds each
+// event into one window and merges sketches up the tree, and on the
+// original plan, which folds it into all eight.
+func benchSketchSharing(b *testing.B, fn agg.Fn, sharedName, independentName string) {
 	set, err := window.NewSet(
 		window.Tumbling(600), window.Tumbling(1200), window.Tumbling(2400),
 		window.Tumbling(4800), window.Tumbling(9600), window.Tumbling(1800),
@@ -334,25 +311,31 @@ func BenchmarkDistinctSharing(b *testing.B) {
 		b.Fatal(err)
 	}
 	events := benchEvents(200_000)
-	b.Run("shared-hll", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := distinct.Run(set, distinct.Options{Factors: true}, events, &stream.CountingSink{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
-	b.Run("independent-hll", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, w := range set.Sorted() {
-				single := window.MustSet(w)
-				if _, err := distinct.Run(single, distinct.Options{}, events, &stream.CountingSink{}); err != nil {
+	res, err := core.Optimize(set, fn, core.Options{Factors: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	shared, err := plan.FromGraph(res.Graph, fn, plan.Factored)
+	if err != nil {
+		b.Fatal(err)
+	}
+	independent, err := plan.NewOriginal(set, fn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		p    *plan.Plan
+	}{{sharedName, shared}, {independentName, independent}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Run(bc.p, events, &stream.CountingSink{}); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-		b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
+			b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
+		})
+	}
 }
 
 // BenchmarkAblationBatchSize measures engine sensitivity to the Process

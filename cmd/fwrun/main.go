@@ -10,13 +10,14 @@
 //
 // Plan variants: original (independent evaluation), rewritten
 // (Algorithm 1), factored (Algorithm 3, the default), slicing (the
-// Scotty-style baseline), sliding (per-window incremental aggregation),
-// quantile (sketch-backed phi-quantiles; see -phi) and distinct
-// (HyperLogLog COUNT DISTINCT) — the two holistic-sharing extensions.
-// Engine-based variants accept -shards for key-sharded parallel
-// execution. A WHERE clause in the query filters events before any
-// window sees them. Input is either a file with "time,key,value" CSV
-// rows or JSON lines (-input/-format) or a generated dataset (-dataset).
+// Scotty-style baseline) and sliding (per-window incremental
+// aggregation). Sketch-backed aggregates — PERCENTILE(v, φ),
+// COUNT(DISTINCT v), TOPK(v, k) — run on every variant like any other
+// function, with the query's parameter. Engine-based variants accept
+// -shards for key-sharded parallel execution. A WHERE clause in the
+// query filters events before any window sees them. Input is either a
+// file with "time,key,value" CSV rows or JSON lines (-input/-format) or
+// a generated dataset (-dataset).
 package main
 
 import (
@@ -27,11 +28,9 @@ import (
 
 	"factorwindows/internal/asaql"
 	"factorwindows/internal/core"
-	"factorwindows/internal/distinct"
 	"factorwindows/internal/engine"
 	"factorwindows/internal/parallel"
 	"factorwindows/internal/plan"
-	"factorwindows/internal/quantile"
 	"factorwindows/internal/slicing"
 	"factorwindows/internal/sliding"
 	"factorwindows/internal/stream"
@@ -50,19 +49,14 @@ func main() {
 		keys       = flag.Int("keys", 4, "generated dataset keys")
 		pace       = flag.Int("pace", 4, "generated events per tick")
 		seed       = flag.Int64("seed", 42, "generated dataset seed")
-		planKind   = flag.String("plan", "factored", "plan variant: original, rewritten, factored, slicing, sliding, quantile, distinct")
+		planKind   = flag.String("plan", "factored", "plan variant: original, rewritten, factored, slicing, sliding")
 		throughput = flag.Bool("throughput", false, "print throughput instead of results")
 		limit      = flag.Int("limit", 20, "max result rows to print (0 = all)")
 		shards     = flag.Int("shards", 1, "key shards for engine-based plans (>1 runs in parallel)")
-		phi        = flag.Float64("phi", 0.5, "quantile for -plan quantile (0.5 = median)")
 	)
 	flag.Parse()
 
 	q, err := loadQuery(*queryText, *queryFile)
-	if err != nil {
-		fatal(err)
-	}
-	set, err := q.Set()
 	if err != nil {
 		fatal(err)
 	}
@@ -92,49 +86,8 @@ func main() {
 	}
 
 	start := time.Now()
-	switch *planKind {
-	case "slicing":
-		if _, err := slicing.Run(set, q.Fn, es, sink); err != nil {
-			fatal(err)
-		}
-	case "sliding":
-		if _, err := sliding.Run(set, q.Fn, es, sink); err != nil {
-			fatal(err)
-		}
-	case "quantile":
-		if _, err := quantile.Run(set, quantile.Options{Phi: *phi, Factors: true}, es, sink); err != nil {
-			fatal(err)
-		}
-	case "distinct":
-		if _, err := distinct.Run(set, distinct.Options{Factors: true}, es, sink); err != nil {
-			fatal(err)
-		}
-	case "original":
-		p, err := plan.NewOriginal(set, q.Fn)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runEngine(p, es, sink, *shards); err != nil {
-			fatal(err)
-		}
-	case "rewritten", "factored":
-		res, err := core.Optimize(set, q.Fn, core.Options{Factors: *planKind == "factored"})
-		if err != nil {
-			fatal(err)
-		}
-		kind := plan.Rewritten
-		if *planKind == "factored" {
-			kind = plan.Factored
-		}
-		p, err := plan.FromGraph(res.Graph, q.Fn, kind)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runEngine(p, es, sink, *shards); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown -plan %q", *planKind))
+	if err := runPlan(*planKind, q, es, sink, *shards); err != nil {
+		fatal(err)
 	}
 	elapsed := time.Since(start)
 
@@ -153,6 +106,57 @@ func main() {
 		}
 		fmt.Println(r)
 	}
+}
+
+// runPlan evaluates the query's windows over es with the named plan
+// variant. The query's finalize parameter (φ for PERCENTILE, k for TOPK)
+// reaches every variant.
+func runPlan(kind string, q *asaql.Query, es []stream.Event, sink stream.Sink, shards int) error {
+	set, err := q.Set()
+	if err != nil {
+		return err
+	}
+	var p *plan.Plan
+	switch kind {
+	case "slicing":
+		r, err := slicing.New(set, q.Fn, sink)
+		if err != nil {
+			return err
+		}
+		r.SetParam(q.Param)
+		r.Process(es)
+		r.Close()
+		return nil
+	case "sliding":
+		r, err := sliding.New(set, q.Fn, sink)
+		if err != nil {
+			return err
+		}
+		r.SetParam(q.Param)
+		r.Process(es)
+		r.Close()
+		return nil
+	case "original":
+		if p, err = plan.NewOriginal(set, q.Fn); err != nil {
+			return err
+		}
+	case "rewritten", "factored":
+		res, err := core.Optimize(set, q.Fn, core.Options{Factors: kind == "factored"})
+		if err != nil {
+			return err
+		}
+		pk := plan.Rewritten
+		if kind == "factored" {
+			pk = plan.Factored
+		}
+		if p, err = plan.FromGraph(res.Graph, q.Fn, pk); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("unknown -plan %q", kind)
+	}
+	p.Param = q.Param
+	return runEngine(p, es, sink, shards)
 }
 
 // runEngine executes an engine plan, key-sharded when shards > 1.

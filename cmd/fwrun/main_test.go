@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"factorwindows/internal/stream"
 )
 
 func TestLoadQuery(t *testing.T) {
@@ -52,5 +54,39 @@ func TestLoadEventsGeneratedAndFile(t *testing.T) {
 	}
 	if _, err := loadEvents(filepath.Join(dir, "missing.csv"), "csv", "", 0, 0, 0, 0); err == nil {
 		t.Fatal("missing file must fail")
+	}
+}
+
+// TestRunPlanCarriesParam checks that the query's φ reaches the result
+// on every plan variant: the 0.95-quantile of 1..4 is 4, where the
+// default φ would give the median, 2.
+func TestRunPlanCarriesParam(t *testing.T) {
+	q, err := loadQuery(`SELECT k, PERCENTILE(v, 0.95) FROM s
+		GROUP BY k, Windows(TumblingWindow(tick, 4), TumblingWindow(tick, 8))`, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var es []stream.Event
+	for i := 0; i < 4; i++ {
+		es = append(es, stream.Event{Time: int64(i), Key: 1, Value: float64(i + 1)})
+	}
+	for _, kind := range []string{"original", "rewritten", "factored", "slicing", "sliding"} {
+		for _, shards := range []int{1, 2} {
+			sink := &stream.CollectingSink{}
+			if err := runPlan(kind, q, es, sink, shards); err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if len(sink.Results) != 2 {
+				t.Fatalf("%s shards=%d: %d results, want 2", kind, shards, len(sink.Results))
+			}
+			for _, r := range sink.Results {
+				if r.Value != 4 {
+					t.Errorf("%s shards=%d: %v [%d,%d) = %v, want 4", kind, shards, r.W, r.Start, r.End, r.Value)
+				}
+			}
+		}
+	}
+	if err := runPlan("quantile", q, es, &stream.CollectingSink{}, 1); err == nil {
+		t.Error("unknown plan variant must fail")
 	}
 }

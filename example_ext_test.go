@@ -34,14 +34,20 @@ func ExampleRunSessions() {
 
 // Sketch-backed MEDIAN shares sub-aggregates across correlated windows;
 // below K values per instance the answers are exact.
-func ExampleRunQuantile() {
-	set, _ := fw.NewWindowSet(fw.Tumbling(4), fw.Tumbling(8))
+func ExampleCompile_percentile() {
+	q, _ := fw.ParseQuery(`SELECT k, PERCENTILE(v, 0.5) FROM s
+		GROUP BY k, Windows(TumblingWindow(tick, 4), TumblingWindow(tick, 8))`)
+	c, err := fw.Compile(q, fw.Options{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	var events []fw.Event
 	for i := 0; i < 8; i++ {
 		events = append(events, fw.Event{Time: int64(i), Key: 1, Value: float64(i + 1)})
 	}
 	sink := &fw.CollectingSink{}
-	if _, err := fw.RunQuantile(set, fw.QuantileOptions{}, events, sink); err != nil {
+	if err := c.Run(events, sink); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -72,14 +78,20 @@ func ExampleFlink() {
 
 // HyperLogLog-backed COUNT DISTINCT shares sub-sketches across windows;
 // merging is register-exact, so sharing never changes the estimate.
-func ExampleRunDistinct() {
-	set, _ := fw.NewWindowSet(fw.Tumbling(50), fw.Tumbling(100))
+func ExampleCompile_distinct() {
+	q, _ := fw.ParseQuery(`SELECT k, COUNT(DISTINCT v) FROM s
+		GROUP BY k, Windows(TumblingWindow(tick, 50), TumblingWindow(tick, 100))`)
+	c, err := fw.Compile(q, fw.Options{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	var events []fw.Event
 	for i := 0; i < 100; i++ {
 		events = append(events, fw.Event{Time: int64(i), Key: 1, Value: float64(i % 30)})
 	}
 	sink := &fw.CollectingSink{}
-	if _, err := fw.RunDistinct(set, fw.DistinctOptions{}, events, sink); err != nil {
+	if err := c.Run(events, sink); err != nil {
 		fmt.Println(err)
 		return
 	}

@@ -23,33 +23,35 @@ import (
 )
 
 func main() {
-	// One tick = one second; windows of 1, 5, 15 and 60 minutes.
-	set, err := fw.NewWindowSet(
-		fw.Tumbling(60), fw.Tumbling(300), fw.Tumbling(900), fw.Tumbling(3600))
-	if err != nil {
-		log.Fatal(err)
-	}
 	events := latencyStream(2_000_000, 8)
 
 	for _, phi := range []float64{0.50, 0.95, 0.99} {
-		sink := &fw.CollectingSink{}
-		start := time.Now()
-		runner, err := fw.RunQuantile(set, fw.QuantileOptions{
-			Phi: phi, K: 800, Factors: true,
-		}, events, sink)
+		c, err := compile(phi)
 		if err != nil {
 			log.Fatal(err)
 		}
+		sink := &fw.CollectingSink{}
+		start := time.Now()
+		runner, err := fw.NewRunner(c.Optimization.Plan, sink)
+		if err != nil {
+			log.Fatal(err)
+		}
+		runner.Process(events)
+		runner.Close()
 		elapsed := time.Since(start)
-		fmt.Printf("p%02.0f: %d window results in %v (%.1f M events/s, %d sketch merges, factors %v)\n",
+		fmt.Printf("p%02.0f: %d window results in %v (%.1f M events/s, %d sketch updates, factors %v)\n",
 			phi*100, len(sink.Results), elapsed.Round(time.Millisecond),
-			float64(len(events))/elapsed.Seconds()/1e6, runner.Merges(), runner.Factors)
+			float64(len(events))/elapsed.Seconds()/1e6, runner.TotalUpdates(), c.Optimization.FactorWindows)
 	}
 
 	// Accuracy check: compare one window's sketch answer to the exact
 	// percentile computed from raw events.
+	c, err := compile(0.99)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sink := &fw.CollectingSink{}
-	if _, err := fw.RunQuantile(set, fw.QuantileOptions{Phi: 0.99, K: 800, Factors: true}, events, sink); err != nil {
+	if err := c.Run(events, sink); err != nil {
 		log.Fatal(err)
 	}
 	res := pickResult(sink, fw.Tumbling(3600))
@@ -58,6 +60,21 @@ func main() {
 	fmt.Printf("  sketch p99: %8.3f ms   exact p99: %8.3f ms\n", res.Value, exact)
 	fmt.Printf("  rank error: %.3f%% (the sketch's guarantee is on rank, not value —\n", 100*rankErr)
 	fmt.Printf("  tail values are sparse, so small rank errors can move the value)\n")
+}
+
+// compile builds the dashboard query for one percentile, with factor
+// windows enabled. One tick = one second; windows of 1, 5, 15 and 60
+// minutes.
+func compile(phi float64) (*fw.Compiled, error) {
+	q, err := fw.ParseQuery(fmt.Sprintf(`
+		SELECT Service, PERCENTILE(Latency, %g) FROM Requests
+		GROUP BY Service, Windows(
+			TumblingWindow(second, 60), TumblingWindow(second, 300),
+			TumblingWindow(second, 900), TumblingWindow(second, 3600))`, phi))
+	if err != nil {
+		return nil, err
+	}
+	return fw.Compile(q, fw.Options{Factors: true})
 }
 
 // latencyStream simulates lognormal request latencies from several

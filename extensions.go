@@ -5,12 +5,10 @@ import (
 
 	"factorwindows/internal/adaptive"
 	"factorwindows/internal/core"
-	"factorwindows/internal/distinct"
 	"factorwindows/internal/engine"
 	"factorwindows/internal/flinkgen"
 	"factorwindows/internal/multiquery"
 	"factorwindows/internal/parallel"
-	"factorwindows/internal/quantile"
 	"factorwindows/internal/reorder"
 	"factorwindows/internal/session"
 	"factorwindows/internal/sliding"
@@ -86,65 +84,6 @@ func NewSessionRunner(gaps []int64, fn AggFn, sink SessionSink) (*SessionRunner,
 // flushes.
 func RunSessions(gaps []int64, fn AggFn, events []Event, sink SessionSink) (*SessionRunner, error) {
 	return session.Run(gaps, fn, events, sink)
-}
-
-// QuantileOptions configures sketch-backed approximate quantile
-// evaluation (phi, sketch size K, factor windows).
-type QuantileOptions = quantile.Options
-
-// QuantileRunner evaluates approximate phi-quantiles (MEDIAN and friends)
-// over a window set with shared computation: mergeable sketches make the
-// holistic function algebraic, so the optimizer's "partitioned by"
-// sharing — including factor windows — applies. This is the Section
-// III-A future-work extension; answers carry a small rank error governed
-// by QuantileOptions.K (exact below K values per instance).
-type QuantileRunner = quantile.Runner
-
-// RunQuantile optimizes the set for a sketch-backed quantile, processes
-// all events, and flushes.
-func RunQuantile(set *WindowSet, opts QuantileOptions, events []Event, sink Sink) (*QuantileRunner, error) {
-	return quantile.Run(set, opts, events, sink)
-}
-
-// NewQuantileRunner is the incremental form of RunQuantile.
-func NewQuantileRunner(set *WindowSet, opts QuantileOptions, sink Sink) (*QuantileRunner, error) {
-	return quantile.New(set, opts, sink)
-}
-
-// RestoreQuantileRunner resumes a quantile runner for the identical
-// window set and options from a snapshot taken with its Snapshot method
-// (the sketch-executor analogue of Restore for engine Runners).
-func RestoreQuantileRunner(set *WindowSet, opts QuantileOptions, sink Sink, snapshot []byte) (*QuantileRunner, error) {
-	return quantile.Restore(set, opts, sink, snapshot)
-}
-
-// DistinctOptions configures HyperLogLog-backed COUNT DISTINCT (HLL
-// precision P, factor windows).
-type DistinctOptions = distinct.Options
-
-// DistinctRunner evaluates approximate COUNT(DISTINCT value) per window
-// instance per key with shared computation. Distinct counting is
-// holistic, but HyperLogLog sketches merge exactly (register-wise max),
-// so the optimizer's "partitioned by" sharing applies and — unlike the
-// quantile sketch — sharing introduces no error beyond the HLL's own
-// ≈ 1.04/√(2^P) standard error.
-type DistinctRunner = distinct.Runner
-
-// RunDistinct optimizes the set for sketch-backed distinct counting,
-// processes all events, and flushes.
-func RunDistinct(set *WindowSet, opts DistinctOptions, events []Event, sink Sink) (*DistinctRunner, error) {
-	return distinct.Run(set, opts, events, sink)
-}
-
-// NewDistinctRunner is the incremental form of RunDistinct.
-func NewDistinctRunner(set *WindowSet, opts DistinctOptions, sink Sink) (*DistinctRunner, error) {
-	return distinct.New(set, opts, sink)
-}
-
-// RestoreDistinctRunner resumes a distinct-count runner for the identical
-// window set and options from a snapshot taken with its Snapshot method.
-func RestoreDistinctRunner(set *WindowSet, opts DistinctOptions, sink Sink, snapshot []byte) (*DistinctRunner, error) {
-	return distinct.Restore(set, opts, sink, snapshot)
 }
 
 // ReorderPolicy selects the late-event policy of a ReorderBuffer.

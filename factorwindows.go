@@ -31,9 +31,11 @@
 // Beyond the paper, the library implements its stated future-work items:
 // a Steiner-pool factor search (OptimizeSteiner), session-window sharing
 // chains (RunSessions), sketch-backed holistic aggregates with sharing
-// (RunQuantile, RunDistinct), Apache Flink DataStream code generation
-// (Flink), and key-sharded parallel execution (RunParallel). See
-// extensions.go and the "Beyond the paper" section of the README.
+// (PERCENTILE, COUNT(DISTINCT) and TOPK queries through Compile), Apache
+// Flink DataStream code generation (Flink), and key-sharded parallel
+// execution (RunParallel). See extensions.go, and the README's
+// "Aggregate functions: exact and sketch-backed" section for the
+// sketch-backed aggregates.
 package factorwindows
 
 import (
@@ -255,7 +257,7 @@ func Compile(q *Query, opts Options) (*Compiled, error) {
 	if len(q.Aggregates) > 1 {
 		return nil, fmt.Errorf("factorwindows: query has %d aggregate calls; use CompileAll", len(q.Aggregates))
 	}
-	return compileFn(q, q.Fn, opts)
+	return compileFn(q, q.Fn, q.Param, opts)
 }
 
 // CompileAll compiles a query with one or more aggregate calls, returning
@@ -268,7 +270,7 @@ func CompileAll(q *Query, opts Options) ([]*Compiled, error) {
 	}
 	out := make([]*Compiled, 0, len(q.Aggregates))
 	for _, call := range q.Aggregates {
-		c, err := compileFn(q, call.Fn, opts)
+		c, err := compileFn(q, call.Fn, call.Param, opts)
 		if err != nil {
 			return nil, fmt.Errorf("factorwindows: %v: %w", call.Fn, err)
 		}
@@ -277,7 +279,10 @@ func CompileAll(q *Query, opts Options) ([]*Compiled, error) {
 	return out, nil
 }
 
-func compileFn(q *Query, fn AggFn, opts Options) (*Compiled, error) {
+// compileFn optimizes the query's windows for one aggregate call. The
+// call's finalize parameter (φ for PERCENTILE, k for TOPK) rides on both
+// plans, so the optimized and the original plan answer the same question.
+func compileFn(q *Query, fn AggFn, param float64, opts Options) (*Compiled, error) {
 	set, err := q.Set()
 	if err != nil {
 		return nil, err
@@ -286,6 +291,7 @@ func compileFn(q *Query, fn AggFn, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	o.Plan.Param, o.Original.Param = param, param
 	filter, err := q.Filter()
 	if err != nil {
 		return nil, err

@@ -105,18 +105,12 @@ func Optimize(set *window.Set, fn agg.Fn, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return OptimizeForced(set, fn, sem, opt)
+	return optimizeResolved(set, fn, sem, opt)
 }
 
-// OptimizeForced runs the optimizer pipeline under an explicitly chosen
-// coverage semantics, bypassing the soundness check that ties semantics to
-// the aggregate function. It exists for executors that change a function's
-// mergeability themselves — e.g. the approximate-quantile extension
-// (internal/quantile), whose mergeable sketches make the holistic MEDIAN
-// behave algebraically, so "partitioned by" sharing becomes sound even
-// though resolveSemantics would reject it. Callers are responsible for
-// that soundness argument.
-func OptimizeForced(set *window.Set, fn agg.Fn, sem agg.Semantics, opt Options) (*Result, error) {
+// optimizeResolved runs the optimizer pipeline under a coverage
+// semantics that resolveSemantics has already checked against fn.
+func optimizeResolved(set *window.Set, fn agg.Fn, sem agg.Semantics, opt Options) (*Result, error) {
 	start := time.Now()
 	if !fn.Valid() {
 		return nil, fmt.Errorf("core: invalid aggregate function %v", fn)

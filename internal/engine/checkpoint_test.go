@@ -57,22 +57,41 @@ func TestCheckpointRoundTripOriginal(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTripFactored resumes the Example 7 plan (factor
+// window W(10,10)) from a snapshot, for an exact function and for the
+// three sketch-backed ones. The sketch stream carries 24 values per key
+// per tick, so each factor instance folds 240 > sketch.DefaultK values
+// and the KLL compactors have already run before the later cuts; the
+// resumed results must still match the uninterrupted run.
 func TestCheckpointRoundTripFactored(t *testing.T) {
 	set := window.MustSet(window.Tumbling(20), window.Tumbling(30), window.Tumbling(40))
-	res, err := core.Optimize(set, agg.Min, core.Options{Factors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := plan.FromGraph(res.Graph, agg.Min, plan.Factored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(2))
-	events := steadyStream(200, 4, r)
-	want := runPlan(t, p, events)
-	for _, cut := range []int{7, 333, len(events) / 2} {
-		got := runWithCheckpoint(t, p, events, cut)
-		sameResults(t, "factored", got, want)
+	for _, tc := range []struct {
+		fn     agg.Fn
+		param  float64
+		events []stream.Event
+	}{
+		{agg.Min, 0, steadyStream(200, 4, rand.New(rand.NewSource(2)))},
+		{agg.Percentile, 0.9, denseSkewed(120, 2, 24, rand.New(rand.NewSource(11)))},
+		{agg.Distinct, 0, denseSkewed(120, 2, 24, rand.New(rand.NewSource(13)))},
+		{agg.TopK, 2, denseSkewed(120, 2, 24, rand.New(rand.NewSource(17)))},
+	} {
+		res, err := core.Optimize(set, tc.fn, core.Options{Factors: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.FromGraph(res.Graph, tc.fn, plan.Factored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.CountFactors() != 1 {
+			t.Fatalf("%v: factors = %d, want 1\n%s", tc.fn, p.CountFactors(), p)
+		}
+		p.Param = tc.param
+		want := runPlan(t, p, tc.events)
+		for _, cut := range []int{7, 333, len(tc.events) / 2, len(tc.events) - 1} {
+			got := runWithCheckpoint(t, p, tc.events, cut)
+			sameResults(t, tc.fn.String()+" factored", got, want)
+		}
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"fmt"
 )
 
-// Binary serialization for both sketches, used by the executors'
-// checkpointing (internal/sketchrun). The wire structs keep the
-// on-the-wire shape explicit and decoupled from the in-memory layout.
+// Binary serialization for both sketches, used by agg.Store's snapshot
+// codec (engine, server and worker checkpoints). The wire structs keep
+// the on-the-wire shape explicit and decoupled from the in-memory layout.
 
 type quantileWire struct {
 	K      int

@@ -5,13 +5,13 @@
 // doubling its weight; pairs of sketches merge by concatenating levels and
 // recompacting.
 //
-// The sketch is the substrate for the library's approximate-quantile
-// extension (internal/quantile): because sketches merge, holistic rank
-// functions such as MEDIAN become algebraic in the Gray et al. taxonomy
-// (Section III-A of the Factor Windows paper), so the optimizer's
-// "partitioned by" sharing — including factor windows — applies to them.
-// The paper lists better support for holistic aggregates as future work;
-// this package is that extension.
+// The sketch is the state behind the PERCENTILE aggregate (agg.Store's
+// sketch columns): because sketches merge, holistic rank functions such
+// as MEDIAN become algebraic in the Gray et al. taxonomy (Section III-A
+// of the Factor Windows paper), so the optimizer's "partitioned by"
+// sharing — including factor windows — applies to them. The paper lists
+// better support for holistic aggregates as future work; this package,
+// with HLL and TopK beside Quantile, is that extension.
 //
 // Space is O(k · log(n/k)) for n inserted items, and the rank error is
 // O(n · log(n/k) / k) in the worst case for this simplified variant —
@@ -215,20 +215,6 @@ func (q *Quantile) Query(phi float64) float64 {
 		}
 	}
 	return q.max
-}
-
-// Rank returns the estimated number of items ≤ v.
-func (q *Quantile) Rank(v float64) int64 {
-	var cum int64
-	for h, buf := range q.levels {
-		w := int64(1) << uint(h)
-		for _, x := range buf {
-			if x <= v {
-				cum += w
-			}
-		}
-	}
-	return cum
 }
 
 // Min and Max return the exact extremes seen (NaN when empty).

@@ -73,25 +73,31 @@ func TestTransientSyncFaultRidesThrough(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetExhaustionFailStops also pins the order of the
+// fail-stop: the sticky error is set before any ticket is failed, so
+// Err() reports it the moment a waiter sees its commit fail. Many runs
+// give the committer every chance to ack first.
 func TestRetryBudgetExhaustionFailStops(t *testing.T) {
-	inj := chaos.NewInjector(3, chaos.Spec{})
-	log := openChaosLog(t, t.TempDir(), inj, 2)
-	defer log.Close(false)
+	for i := 0; i < 200; i++ {
+		inj := chaos.NewInjector(3, chaos.Spec{})
+		log := openChaosLog(t, t.TempDir(), inj, 2)
 
-	inj.ForceFail("write", 10)
-	c, err := log.AppendControl([]byte("payload"))
-	if err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if _, err := c.Wait(); !errors.Is(err, chaos.ErrInjected) {
-		t.Fatalf("commit err = %v, want the injected fault", err)
-	}
-	if err := log.Err(); err == nil {
-		t.Fatal("log did not fail-stop after retry exhaustion")
-	}
-	// The fail-stop gate is sticky: later appends are rejected outright.
-	if _, err := log.AppendControl([]byte("after")); err == nil {
-		t.Fatal("append accepted after fail-stop")
+		inj.ForceFail("write", 10)
+		c, err := log.AppendControl([]byte("payload"))
+		if err != nil {
+			t.Fatalf("run %d: append: %v", i, err)
+		}
+		if _, err := c.Wait(); !errors.Is(err, chaos.ErrInjected) {
+			t.Fatalf("run %d: commit err = %v, want the injected fault", i, err)
+		}
+		if err := log.Err(); err == nil {
+			t.Fatalf("run %d: commit failed but Err() is nil", i)
+		}
+		// The fail-stop gate is sticky: later appends are rejected outright.
+		if _, err := log.AppendControl([]byte("after")); err == nil {
+			t.Fatalf("run %d: append accepted after fail-stop", i)
+		}
+		log.Close(false)
 	}
 }
 

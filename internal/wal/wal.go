@@ -740,12 +740,16 @@ func (l *Log) flush() {
 	if err == nil && l.segBytes >= l.opts.SegmentBytes && l.segRecs > 0 {
 		rotateErr = l.rotate()
 	}
+	if err != nil {
+		// Fail-stop before acking: a waiter that sees its commit fail
+		// must also see Err() report it.
+		l.fail(err)
+	}
 	for _, c := range ws {
 		c.durable, c.err = durable, err
 		close(c.done)
 	}
 	if err != nil {
-		l.fail(err)
 		return
 	}
 	if rotateErr != nil {

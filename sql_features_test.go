@@ -106,3 +106,65 @@ func TestCompileAllNil(t *testing.T) {
 		t.Error("nil query should fail")
 	}
 }
+
+// TestCompileCarriesParam checks that each aggregate call's parameter
+// reaches finalization on both the optimized and the original plan.
+// Every window instance below holds 1, 3, 3, 5, 5, 5, 7, 7, 7, 7: the
+// 0.95-quantile is 7 and the 0.25-quantile 3 (the default φ would give
+// the median, 5); TOPK(v, 3) is 3, the third most frequent value (the
+// default k would give the mode, 7).
+func TestCompileCarriesParam(t *testing.T) {
+	var events []Event
+	for i, v := range []float64{7, 5, 3, 7, 1, 5, 7, 3, 5, 7} {
+		events = append(events, Event{Time: int64(i / 3), Key: 1, Value: v})
+	}
+	check := func(c *Compiled, want float64) {
+		t.Helper()
+		for _, p := range []*Plan{c.Optimization.Plan, c.Optimization.Original} {
+			sink := &CollectingSink{}
+			if err := Run(p, events, sink); err != nil {
+				t.Fatal(err)
+			}
+			if len(sink.Results) != 2 {
+				t.Fatalf("%v %v plan: %d results, want 2", p.Fn, p.Kind, len(sink.Results))
+			}
+			for _, r := range sink.Results {
+				if r.Value != want {
+					t.Errorf("%v %v plan: %v [%d,%d) = %v, want %v", p.Fn, p.Kind, r.W, r.Start, r.End, r.Value, want)
+				}
+			}
+		}
+	}
+	windows := ` FROM s GROUP BY k, Windows(TumblingWindow(tick, 4), TumblingWindow(tick, 8))`
+	for _, tc := range []struct {
+		sel  string
+		want float64
+	}{
+		{"PERCENTILE(v, 0.95)", 7},
+		{"TOPK(v, 3)", 3},
+	} {
+		q, err := ParseQuery("SELECT k, " + tc.sel + windows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(q, Options{Factors: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c, tc.want)
+	}
+
+	// Each CompileAll bundle takes its own call's parameter, not the
+	// first call's.
+	q, err := ParseQuery("SELECT k, TOPK(v, 3), PERCENTILE(v, 0.25)" + windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles, err := CompileAll(q, Options{Factors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{3, 3} {
+		check(bundles[i], want)
+	}
+}
